@@ -50,7 +50,7 @@ type config = {
   socket_path : string;
   workers : int;  (** warm worker domains *)
   queue_bound : int;  (** max queued requests per client; 0 rejects all *)
-  cache_dir : string option;  (** on-disk VC cache; [None] = memory only *)
+  cache_dir : string option;  (** on-disk verdict cache; [None] = memory only *)
   cache_max_bytes : int;  (** disk-tier LRU bound *)
   cache_fingerprint : string option;
       (** build-fingerprint override (tests simulate rebuilds) *)
@@ -309,7 +309,6 @@ let handle_verify (d : t) ~id ~target ~lint ~absint ~seed ~timeout_ms
               {
                 E.default_config with
                 E.domains = 1;
-                shared_cache = Some d.cache;
                 lint;
                 absint;
                 seed;
@@ -326,6 +325,12 @@ let handle_verify (d : t) ~id ~target ~lint ~absint ~seed ~timeout_ms
             in
             let g = List.hd report.E.groups in
             E.Vc_cache.store_verdicts d.cache key g.E.outcomes;
+            let report =
+              {
+                report with
+                E.stats = { report.E.stats with E.cache_misses = 1 };
+              }
+            in
             (* Daemon-lifetime gauges for the [stats] op: how much work
                the abstract pre-discharge saved across cold runs. *)
             let vs = report.E.stats.E.vstats in
@@ -446,7 +451,7 @@ let stats_json (d : t) =
           ] );
       ( "solver",
         (* Process-global gauges from the hash-consed term pool; the
-           per-VC counters live in the per-report engine stats. *)
+           per-request solver counters live in the engine report. *)
         let ps = Smt.Term.pool_stats () in
         let lookups = ps.Smt.Term.pool_hits + ps.Smt.Term.pool_misses in
         Json.Obj
@@ -775,8 +780,7 @@ let drain_flush (d : t) ~seconds =
     SIGTERM/SIGINT arrives; returns [Ok ()] after draining — workers
     finish everything accepted, responses are flushed, the socket file
     is removed. SIGHUP logs a stats snapshot to stderr without
-    interrupting service. The VC cache is installed process-wide for
-    the daemon's lifetime. *)
+    interrupting service. *)
 let run (cfg : config) : (unit, string) result =
   (match Sys.os_type with
   | "Unix" -> (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ())
@@ -788,7 +792,6 @@ let run (cfg : config) : (unit, string) result =
         E.Vc_cache.create ?disk_dir:cfg.cache_dir
           ~max_bytes:cfg.cache_max_bytes ?fingerprint:cfg.cache_fingerprint ()
       in
-      E.Vc_cache.install cache;
       let d =
         {
           cfg;
@@ -841,8 +844,7 @@ let run (cfg : config) : (unit, string) result =
         (try Sys.remove cfg.socket_path with _ -> ());
         List.iter
           (fun (signo, beh) -> try Sys.set_signal signo beh with _ -> ())
-          saved_signals;
-        E.Vc_cache.uninstall ()
+          saved_signals
       in
       let rec loop () =
         if Atomic.get sig_hup then begin

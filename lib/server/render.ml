@@ -103,10 +103,10 @@ let json_of_report (report : E.report) rows =
   in
   let s = report.E.stats in
   Printf.sprintf
-    {|{"entries":[%s],"stats":{"jobs":%d,"wall_ms":%.1f,"queries":%d,"cache_hits":%d,"cache_disk_hits":%d,"cache_misses":%d,"cache_corrupt":%d,"timeouts":%d,"resource_outs":%d,"crashes":%d,"retries":%d,"session_fallbacks":%d,"par_branches":%d,"inv_opens":%d,"interference_havocs":%d}}|}
+    {|{"entries":[%s],"stats":{"jobs":%d,"wall_ms":%.1f,"queries":%d,"cache_hits":%d,"cache_disk_hits":%d,"cache_misses":%d,"timeouts":%d,"resource_outs":%d,"crashes":%d,"retries":%d,"session_fallbacks":%d,"par_branches":%d,"inv_opens":%d,"interference_havocs":%d}}|}
     (String.concat "," entries)
     s.E.jobs s.E.wall_ms s.E.smt.Smt.Stats.queries s.E.cache_hits
-    s.E.cache_disk_hits s.E.cache_misses s.E.cache_corrupt s.E.timeouts
+    s.E.cache_disk_hits s.E.cache_misses s.E.timeouts
     s.E.resource_outs s.E.crashes s.E.retries
     s.E.smt.Smt.Stats.session_fallbacks
     s.E.vstats.Verifier.Vstats.par_branches

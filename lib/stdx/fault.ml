@@ -5,10 +5,14 @@
     but it must never flip [Verified] into [Failed] or vice versa.
     This module provides the injection points that property is tested
     against: named {e sites} in the solver, the incremental session
-    layer, the VC cache, the pool workers, the daemon's socket layer,
-    and the supervision layer (worker crashes, non-polling stalls,
-    torn disk-cache publications), each firing with a configured
-    probability drawn from a seeded deterministic stream.
+    layer, the daemon's verdict cache (stored bytes corrupted in memory
+    and on disk, disk reads garbled), the pool workers, the daemon's
+    socket layer, and the supervision layer (worker crashes,
+    non-polling stalls, torn disk-cache publications), each firing
+    with a configured probability drawn from a seeded deterministic
+    stream. The verdict cache is consulted only by [daenerys serve],
+    so [cache] and [disk] faults land nowhere on the [suite]/[verify]
+    path.
 
     Activation: the [DAENERYS_FAULTS] environment variable, or
     {!configure} / {!configure_from_string} from the CLI and tests.
@@ -27,7 +31,7 @@
 type site =
   | Solver
   | Session
-  | Cache
+  | Cache  (** verdict-cache entry corrupted on store or garbled on read *)
   | Pool
   | Socket
   | Worker  (** supervisor-guarded request body raises (worker crash) *)
@@ -143,7 +147,7 @@ let draw (c : config) site =
       hit
 
 (** Non-raising draw; used where the fault is a silent corruption (the
-    cache flips stored bytes) rather than an exception. *)
+    verdict cache flips stored bytes) rather than an exception. *)
 let fires site =
   Lazy.force env;
   match Atomic.get state with None -> false | Some c -> draw c site

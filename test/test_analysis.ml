@@ -446,15 +446,20 @@ let test_spec_error_routing () =
 let test_engine_gating () =
   let cfg = { E.default_config with E.lint = true } in
   let bad = Suite.Ill_formed.unknown_pred in
-  let bank = Suite.Programs.bank in
-  let report =
-    E.verify_programs ~config:cfg
-      [
-        (bad.Suite.Ill_formed.name, bad.Suite.Ill_formed.prog);
-        (bank.Suite.Programs.name, bank.Suite.Programs.prog);
-      ]
+  let bank = Suite.Programs.bank and swap = Suite.Programs.swap in
+  (* Verified, gated, verified: the gated group is stitched back in
+     between the two groups the solver produced. *)
+  let progs =
+    [
+      (bank.Suite.Programs.name, bank.Suite.Programs.prog);
+      (bad.Suite.Ill_formed.name, bad.Suite.Ill_formed.prog);
+      (swap.Suite.Programs.name, swap.Suite.Programs.prog);
+    ]
   in
-  Alcotest.(check int) "two groups" 2 (List.length report.E.groups);
+  let report = E.verify_programs ~config:cfg progs in
+  Alcotest.(check (list string))
+    "groups keep the input order" (List.map fst progs)
+    (List.map (fun (r : E.group_result) -> r.E.group) report.E.groups);
   let find g =
     List.find (fun (r : E.group_result) -> String.equal r.E.group g)
       report.E.groups
@@ -468,10 +473,12 @@ let test_engine_gating () =
     g_bad.E.outcomes;
   Alcotest.(check bool) "bank still verifies" true
     (E.group_ok (find bank.Suite.Programs.name));
+  Alcotest.(check bool) "swap still verifies" true
+    (E.group_ok (find swap.Suite.Programs.name));
   match report.E.stats.E.analysis with
   | None -> Alcotest.fail "lint run must report analysis stats"
   | Some a ->
-      Alcotest.(check int) "analyzed both" 2 a.E.a_programs;
+      Alcotest.(check int) "analyzed all three" 3 a.E.a_programs;
       Alcotest.(check bool) "saw errors" true (a.E.a_errors > 0)
 
 (* ------------------------------------------------------------------ *)

@@ -1,9 +1,8 @@
 (** Engine tests: parallel verification is observationally identical to
     sequential verification (for positive AND negative suite entries),
-    the VC cache changes no verdict, and the cache survives concurrent
-    hammering from several domains. *)
+    and the verdict cache survives concurrent hammering from several
+    domains. *)
 
-module T = Smt.Term
 module V = Verifier.Exec
 module Pr = Suite.Programs
 module E = Engine
@@ -27,7 +26,7 @@ let engine_results config =
    entries. *)
 let test_parallel_matches_sequential () =
   let par =
-    engine_results { E.default_config with E.domains = 4; cache = false }
+    engine_results { E.default_config with E.domains = 4 }
   in
   List.iter
     (fun (e : Pr.entry) ->
@@ -35,27 +34,8 @@ let test_parallel_matches_sequential () =
       Alcotest.check proc_results e.name seq (List.assoc e.name par))
     Pr.all
 
-(* 2. Cache on ≡ cache off, at one and several domains. *)
-let test_cache_preserves_verdicts () =
-  let go domains cache =
-    engine_results { E.default_config with E.domains; cache }
-  in
-  let reference = go 1 false in
-  List.iter
-    (fun (domains, cache) ->
-      List.iter
-        (fun (name, outs) ->
-          Alcotest.check proc_results
-            (Printf.sprintf "%s (j=%d cache=%b)" name domains cache)
-            outs
-            (List.assoc name (go domains cache)))
-        reference)
-    [ (1, true); (4, true) ]
-
-(* 3. The engine report accounts every job, obligations route through
-   the incremental sessions, and cache accounting stays consistent
-   (sessions bypass the cache, so hits/misses cover exactly the
-   one-shot queries that remain). *)
+(* 2. The engine report accounts every job and obligations route
+   through the incremental sessions. *)
 let test_engine_stats () =
   let progs =
     List.concat_map
@@ -70,7 +50,7 @@ let test_engine_stats () =
   in
   let report =
     E.verify_programs
-      ~config:{ E.default_config with E.domains = 2; cache = true }
+      ~config:{ E.default_config with E.domains = 2 }
       progs
   in
   let s = report.E.stats in
@@ -81,77 +61,68 @@ let test_engine_stats () =
   Alcotest.(check bool)
     "obligations went through sessions" true
     (s.E.smt.Smt.Stats.session_checks > 0);
-  Alcotest.(check bool)
-    "lookups = queries routed through cache" true
-    (s.E.cache_hits + s.E.cache_misses = s.E.smt.Smt.Stats.queries);
   Alcotest.(check bool) "all verified" true (List.for_all E.group_ok report.E.groups)
 
-(* 4. qcheck: hammer one shared cache from several domains; verdicts
-   must match the uncached sequential solver on every instance. *)
+(* 3. qcheck: hammer one shared verdict cache from 4 domains. Every
+   domain probes, stores and re-probes every key, each starting at a
+   different offset, so lookups and stores of the same key race across
+   domains. A probe may miss before any store of its key, but whatever
+   it returns must be that key's verdicts, and the probe right after a
+   domain's own store must hit. *)
 
-let gen_formula : T.t QCheck.Gen.t =
+let gen_verdicts : E.Vc_cache.verdicts QCheck.Gen.t =
   let open QCheck.Gen in
-  let vars = [ "x"; "y"; "z" ] in
-  let atom =
-    oneof [ map T.int (int_range (-4) 4); map T.var (oneofl vars) ]
+  let outcome =
+    oneof
+      [
+        return V.Verified;
+        map (fun n -> V.Failed (Printf.sprintf "post %d" n)) (int_range 0 9);
+      ]
   in
-  let arith =
-    oneof [ atom; map2 T.add atom atom; map2 T.sub atom atom ]
-  in
-  let cmp =
-    oneof [ map2 T.eq arith arith; map2 T.le arith arith; map2 T.lt arith arith ]
-  in
-  let rec form n =
-    if n <= 0 then cmp
-    else
-      frequency
-        [
-          (3, cmp);
-          (2, map T.not_ (form (n - 1)));
-          (2, map2 (fun a b -> T.and_ [ a; b ]) (form (n - 1)) (form (n - 1)));
-          (2, map2 (fun a b -> T.or_ [ a; b ]) (form (n - 1)) (form (n - 1)));
-        ]
-  in
-  form 2
+  list_size (int_range 1 3)
+    (map2 (fun i o -> (Printf.sprintf "p%d" i, o)) (int_range 0 9) outcome)
 
-let verdict = function
-  | Smt.Solver.Sat _ -> "sat"
-  | Smt.Solver.Unsat -> "unsat"
-  | Smt.Solver.Unknown -> "unknown"
-  | Smt.Solver.Resource_out _ -> "resource-out"
+let print_verdicts vs =
+  String.concat "; "
+    (List.map (fun (p, o) -> Fmt.str "%s=%a" p V.pp_outcome o) vs)
 
 let cache_hammer =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"vc-cache-parallel-consistent" ~count:30
-       QCheck.(make ~print:(fun ts -> String.concat "; " (List.map T.to_string ts))
-                 (Gen.list_size (Gen.int_range 4 10) gen_formula))
+       QCheck.(
+         make
+           ~print:(fun l -> String.concat " | " (List.map print_verdicts l))
+           (Gen.list_size (Gen.int_range 4 10) gen_verdicts))
        (fun instances ->
-         let expected = List.map (fun t -> verdict (Smt.Solver.check_sat [ t ])) instances in
+         let arr = Array.of_list instances in
+         let n = Array.length arr in
+         let key j = Printf.sprintf "key-%d" j in
          let cache = E.Vc_cache.create () in
-         E.Vc_cache.install cache;
-         let got =
-           Fun.protect ~finally:E.Vc_cache.uninstall (fun () ->
-               (* Each domain checks every instance at a different
-                  starting offset, so lookups and stores of the same
-                  key race across domains. *)
-               let work offset () =
-                 let arr = Array.of_list instances in
-                 let n = Array.length arr in
-                 List.init n (fun i ->
-                     let j = (i + offset) mod n in
-                     (j, verdict (Smt.Solver.check_sat [ arr.(j) ])))
+         let work offset () =
+           List.init n (fun i ->
+               let j = (i + offset) mod n in
+               let before =
+                 match E.Vc_cache.lookup_verdicts cache (key j) with
+                 | None -> true
+                 | Some (v, _) -> v = arr.(j)
                in
-               let spawned =
-                 List.init 3 (fun d -> Domain.spawn (work (d + 1)))
+               E.Vc_cache.store_verdicts cache (key j) arr.(j);
+               let after =
+                 match E.Vc_cache.lookup_verdicts cache (key j) with
+                 | Some (v, `Memory) -> v = arr.(j)
+                 | _ -> false
                in
-               let mine = work 0 () in
-               mine :: List.map Domain.join spawned)
+               before && after)
          in
-         List.for_all
-           (List.for_all (fun (j, v) -> String.equal v (List.nth expected j)))
-           got
-         && E.Vc_cache.hits cache + E.Vc_cache.misses cache
-            = 4 * List.length instances))
+         let spawned = List.init 3 (fun d -> Domain.spawn (work (d + 1))) in
+         let mine = work 0 () in
+         let got = mine :: List.map Domain.join spawned in
+         List.for_all (List.for_all Fun.id) got
+         && E.Vc_cache.size cache = n
+         && E.Vc_cache.hits cache + E.Vc_cache.disk_hits cache
+            + E.Vc_cache.misses cache
+            = 2 * 4 * n
+         && E.Vc_cache.corrupt cache = 0))
 
 let () =
   Alcotest.run "engine"
@@ -160,8 +131,6 @@ let () =
         [
           Alcotest.test_case "parallel-matches-sequential" `Quick
             test_parallel_matches_sequential;
-          Alcotest.test_case "cache-preserves-verdicts" `Quick
-            test_cache_preserves_verdicts;
           Alcotest.test_case "engine-stats" `Quick test_engine_stats;
           cache_hammer;
         ] );
