@@ -78,7 +78,7 @@ let table1 () =
         vs.Verifier.Vstats.obligations vs.Verifier.Vstats.chunk_matches
         ss.Smt.Stats.queries base
         (if ok then "" else "   << verification failed"))
-    Pr.positive
+    (Pr.positive ())
 
 (* ------------------------------------------------------------------ *)
 (* T2: solver breakdown *)
@@ -95,7 +95,7 @@ let table2 () =
         ss.Smt.Stats.queries ss.Smt.Stats.theory_checks ss.Smt.Stats.lia_checks
         ss.Smt.Stats.euf_checks ss.Smt.Stats.blocking_clauses
         ss.Smt.Stats.eq_propagations)
-    Pr.positive
+    (Pr.positive ())
 
 (* ------------------------------------------------------------------ *)
 (* T3: stability / heap-dependence *)
@@ -120,7 +120,7 @@ let table3 () =
       in
       printf "%-14s | %11d %10d | %s\n" e.name
         vs.Verifier.Vstats.resolutions vs.Verifier.Vstats.stab_checks delta)
-    Pr.positive
+    (Pr.positive ())
 
 (* ------------------------------------------------------------------ *)
 (* F1: scaling — straight-line programs, automated vs baseline *)
@@ -206,7 +206,7 @@ let ablation_hd () =
             (ms t2)
             (if ok3 then "verified (!)" else "rejected as expected")
             (if ok1 && ok2 then "" else "  << FAILED"))
-    Pr.positive
+    (Pr.positive ())
 
 (* ------------------------------------------------------------------ *)
 (* A2: unsat-core minimization on/off *)
@@ -245,7 +245,7 @@ let engine_scaling () =
       (fun r ->
         List.map
           (fun (e : Pr.entry) -> (Printf.sprintf "%s#%d" e.name r, e.prog))
-          Pr.positive)
+          (Pr.positive ()))
       (List.init reps Fun.id)
   in
   printf "%7s | %10s %8s | %6s | %s\n" "domains" "wall(ms)" "speedup"
@@ -409,7 +409,7 @@ let lint_overhead () =
         (100.0 *. !tl /. tv)
         (List.length !ds)
         (List.length (Diag.errors !ds)))
-    Pr.positive;
+    (Pr.positive ());
   printf "%s\n" (String.make 62 '-');
   printf "%-14s | %9.3f %9.1f %7.4f%%\n" "total" (ms !total_lint)
     (ms !total_verify)
@@ -428,7 +428,7 @@ let budget_overhead () =
       (fun (e : Pr.entry) ->
         let ok, _, _, _ = run_verifier e.prog in
         if not ok then failwith ("budget_overhead: " ^ e.name ^ " failed"))
-      Pr.positive
+      (Pr.positive ())
   in
   (* Best-of-reps per mode: single sweeps are short enough that
      scheduler noise would swamp a ≤2% comparison. *)
@@ -482,7 +482,7 @@ let absint_overhead () =
       (fun (e : Pr.entry) ->
         let ok, _, _, _ = run_verifier ~absint e.prog in
         if not ok then failwith ("absint_overhead: " ^ e.name ^ " failed"))
-      Pr.positive
+      (Pr.positive ())
   in
   (* Interleaved A/B, best-of-reps (same methodology as the corpus
      bench): alternating off/on pairs cancel clock/GC drift that a
@@ -501,7 +501,7 @@ let absint_overhead () =
   let vstats = Verifier.Vstats.create () in
   List.iter
     (fun (e : Pr.entry) -> ignore (V.verify ~stats:vstats e.prog))
-    Pr.positive;
+    (Pr.positive ());
   let overhead = 100.0 *. ((t_on /. t_off) -. 1.0) in
   record_json "absint_overhead"
     [
@@ -537,7 +537,7 @@ let conc_suite () =
     [ "spinlock"; "ticket_lock"; "treiber"; "racy_incr"; "lock_noinv" ]
   in
   let entries =
-    List.filter (fun (e : Pr.entry) -> List.mem e.name conc_names) Pr.all
+    List.filter (fun (e : Pr.entry) -> List.mem e.name conc_names) (Pr.all ())
   in
   let reps = if !quick then 3 else 11 in
   let seeds = if !quick then [ 0; 1; 2 ] else [ 0; 1; 2; 3; 7 ] in
@@ -610,7 +610,7 @@ let serve_throughput () =
   let module SC = Server.Client in
   let module SP = Server.Protocol in
   let module SJ = Server.Json in
-  let entries = List.map (fun (e : Pr.entry) -> e.Pr.name) Pr.all in
+  let entries = List.map (fun (e : Pr.entry) -> e.Pr.name) (Pr.all ()) in
   let reps = if !quick then 2 else 15 in
   printf "(suite of %d entries; warm pass = one suite x %d per client)\n"
     (List.length entries) reps;
@@ -750,7 +750,9 @@ let serve_throughput () =
       (Printf.sprintf "serve_j%d" workers, fields) :: !serve_json
   in
   List.iter run_config [ 1; 2; 4 ];
-  write_json_list "BENCH_serve.json" (List.rev !serve_json)
+  (* --quick is the CI smoke run: only a full run rewrites the
+     committed numbers. *)
+  if not !quick then write_json_list "BENCH_serve.json" (List.rev !serve_json)
 
 (* ------------------------------------------------------------------ *)
 (* S2: corpus-scale end-to-end throughput — procedures/second through
@@ -898,7 +900,7 @@ let micro () =
   printf "\n== Bechamel microbenchmarks ==\n%!";
   let open Bechamel in
   let open Toolkit in
-  let swap_prog = Pr.swap.Pr.prog in
+  let swap_prog = (Option.get (Pr.find "swap")).Pr.prog in
   let straight8, base8 = G.straightline 8 in
   let sprog = { V.procs = [ straight8 ]; preds = Stdx.Smap.empty; invs = [] } in
   let tests =

@@ -46,9 +46,6 @@ module R = Server.Render
 module Json = Server.Json
 open Cmdliner
 
-let find_entry name =
-  List.find_opt (fun (e : Pr.entry) -> String.equal e.name name) Pr.all
-
 let config ~jobs ~lint ~no_absint ~seed ~timeout_ms ~retries =
   {
     E.default_config with
@@ -225,21 +222,20 @@ let suite_cmd =
       const (fun jobs stats lint no_absint seed timeout_ms retries
                  faults json ->
           with_faults faults @@ fun () ->
+          let entries = Pr.all () in
           let report =
             E.verify_programs
               ~config:
                 (config ~jobs ~lint ~no_absint ~seed ~timeout_ms
                    ~retries)
-              (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) Pr.all)
+              (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) entries)
           in
           if json then begin
-            let statuses =
-              List.map2 entry_status Pr.all report.E.groups
-            in
+            let statuses = List.map2 entry_status entries report.E.groups in
             let rows =
               List.map2
                 (fun (e : Pr.entry) s -> (e.Pr.name, e.Pr.expect_fail, s))
-                Pr.all statuses
+                entries statuses
             in
             Fmt.pr "%s@." (json_of_report report rows);
             exit_of_statuses statuses
@@ -247,7 +243,7 @@ let suite_cmd =
           else begin
             if lint then print_lint_findings report.E.lint;
             let statuses =
-              List.map2 (fun e g -> report_entry e g) Pr.all report.E.groups
+              List.map2 (fun e g -> report_entry e g) entries report.E.groups
             in
             Fmt.pr "total %.1fms wall (%d jobs, %d domain(s))@."
               report.E.stats.E.wall_ms report.E.stats.E.jobs
@@ -323,7 +319,7 @@ let verify_cmd =
             verify_file name ~jobs ~lint ~no_absint ~seed
               ~stats:false ~timeout_ms ~retries ~json
           else
-          match find_entry name with
+          match Pr.find name with
           | Some e ->
               let report =
                 E.verify_program
@@ -363,7 +359,7 @@ let verify_cmd =
 (* lint *)
 
 let lint_targets () =
-  List.map (fun (e : Pr.entry) -> (e.name, e.prog)) Pr.all
+  List.map (fun (e : Pr.entry) -> (e.name, e.prog)) (Pr.all ())
   @ Suite.Examples.all
 
 let lint_cmd =
@@ -483,7 +479,7 @@ let list_cmd =
             (fun (e : Pr.entry) ->
               Fmt.pr "%-14s %s%s@." e.name e.descr
                 (if e.expect_fail then "  [negative test]" else ""))
-            Pr.all;
+            (Pr.all ());
           exit_ok)
       $ const ())
 
@@ -494,7 +490,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const (fun name seed ->
-          match find_entry name with
+          match Pr.find name with
           | None -> fail_cli ("unknown entry " ^ name)
           | Some e -> (
               match
@@ -793,7 +789,7 @@ let client_cmd =
             (fun () ->
               let names =
                 if suite then
-                  List.map (fun (e : Pr.entry) -> e.Pr.name) Pr.all
+                  List.map (fun (e : Pr.entry) -> e.Pr.name) (Pr.all ())
                 else names
               in
               if stats then

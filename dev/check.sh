@@ -30,8 +30,9 @@ dune exec bin/daenerys.exe -- suite --lint -j 2 --stats
 echo "== surface (.hl) gate: parse + lint + verify every examples/*.hl =="
 for f in examples/*.hl; do
   case "$f" in
-    examples/bad_swap.hl)
-      # negative program: must parse, lint clean, and FAIL verification
+    examples/bad_*.hl)
+      # negative suite sources: must parse, lint clean, and FAIL
+      # verification
       dune exec bin/daenerys.exe -- lint "$f"
       if dune exec bin/daenerys.exe -- verify "$f" >/dev/null 2>&1; then
         echo "FAIL: $f verified but must fail" >&2; exit 1
@@ -121,7 +122,7 @@ for f in examples/*.hl; do
       echo "$f: $code + failed verification (as expected)"
       ;;
     *)
-      # positive twins: must lint clean and verify
+      # positive programs: must lint clean and verify
       dune exec bin/daenerys.exe -- lint "$f"
       dune exec bin/daenerys.exe -- verify "$f"
       ;;

@@ -36,13 +36,15 @@ let show name prog =
       in
       Fmt.pr "  %-24s FAILED: %s@." name (Option.value ~default:"?" m)
 
+let bank = Option.get (Pr.find "bank")
+
 let () =
   Fmt.pr "== bank accounts ==@.@.";
   Fmt.pr "destabilized spec (reads the heap):@.";
   Fmt.pr "  requires … ⌜!a + !b = total⌝ ∗ ⌜0 ≤ amt ≤ !a⌝@.";
   Fmt.pr "  ensures  … ⌜!a + !b = total⌝ ∗ ⌜0 ≤ !a⌝@.@.";
-  show "transfer (heap-dep)" Pr.bank.Pr.prog;
-  (match Pr.bank.Pr.stable_variant with
+  show "transfer (heap-dep)" bank.Pr.prog;
+  (match bank.Pr.stable_variant with
   | Some sv -> show "transfer (stable)" sv
   | None -> ());
 
@@ -103,7 +105,7 @@ let () =
   let body =
     Heaplang.Subst.close_expr
       [ ("a", HL.Loc 0); ("b", HL.Loc 1); ("amt", HL.Int 30) ]
-      Pr.bank_proc.V.body
+      (List.hd bank.Pr.prog.V.procs).V.body
   in
   let main =
     HL.Seq (HL.Alloc (HL.Val (HL.Int 100)),

@@ -13,9 +13,13 @@ module HL = Heaplang.Ast
 module V = Verifier.Exec
 module Pr = Suite.Programs
 
+let list_length = Option.get (Pr.find "list_length")
+let list_preds = list_length.Pr.prog.V.preds
+let length_proc = List.hd list_length.Pr.prog.V.procs
+
 let () =
   Fmt.pr "== verified linked chain ==@.@.";
-  let def = Stdx.Smap.find "clist" Pr.clist_preds in
+  let def = Stdx.Smap.find "clist" list_preds in
   Fmt.pr "predicate clist(%s):@.  @[%a@]@.@."
     (String.concat ", " def.A.params)
     A.pp def.A.body;
@@ -23,7 +27,7 @@ let () =
   Fmt.pr "  requires clist(p, n) ∗ ⌜0 ≤ n⌝@.";
   Fmt.pr "  ensures  clist(p, n) ∗ ⌜result = n⌝@.@.";
 
-  (match V.verify Pr.list_length.Pr.prog with
+  (match V.verify list_length.Pr.prog with
   | results when List.for_all (fun (_, o) -> o = V.Verified) results ->
       Fmt.pr "length: VERIFIED (recursively, against its own spec)@."
   | results ->
@@ -36,7 +40,7 @@ let () =
   (* A wrong spec must fail: off-by-one length. *)
   let off_by_one =
     {
-      Pr.length_proc with
+      length_proc with
       V.pname = "length_bug";
       ensures =
         A.Sep
@@ -46,7 +50,7 @@ let () =
   in
   (match
      V.verify_proc
-       { V.procs = [ off_by_one ]; preds = Pr.clist_preds; invs = [] }
+       { V.procs = [ off_by_one ]; preds = list_preds; invs = [] }
        off_by_one
    with
   | V.Failed _ -> Fmt.pr "length+1:  correctly rejected@."

@@ -159,6 +159,7 @@ let run_analysis ?(srcmaps : (string * Diag.srcmap) list = [])
 let verify_programs ?(config = default_config)
     ?(srcmaps : (string * Diag.srcmap) list = [])
     (progs : (string * V.program) list) : report =
+  let t0 = Unix.gettimeofday () in
   let lint_results, analysis_stats =
     if config.lint then
       let r, s =
@@ -205,14 +206,12 @@ let verify_programs ?(config = default_config)
       live
     |> Array.of_list
   in
-  let t0 = Unix.gettimeofday () in
   let results, smt_per_domain, pool =
     Pool.run ~domains:config.domains ~prologue:Smt.Stats.reset
       ~epilogue:Smt.Stats.snapshot
       (Job.run ?timeout_ms:config.timeout_ms ~retries:config.retries)
       jobs
   in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let vstats =
     Array.fold_left
       (fun acc (r : Job.result) -> Verifier.Vstats.sum acc r.vstats)
@@ -226,6 +225,17 @@ let verify_programs ?(config = default_config)
       (fun n (r : Job.result) -> if pred r.Job.outcome then n + 1 else n)
       0 results
   in
+  (* Stitch gated groups back in, preserving the input program order:
+     one name -> group table, the first group of a name winning. *)
+  let by_name = Hashtbl.create (List.length progs) in
+  List.iter
+    (fun g ->
+      if not (Hashtbl.mem by_name g.group) then Hashtbl.add by_name g.group g)
+    (gated_groups @ regroup results);
+  let groups =
+    List.filter_map (fun (name, _) -> Hashtbl.find_opt by_name name) progs
+  in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let stats =
     {
       analysis = analysis_stats;
@@ -247,16 +257,6 @@ let verify_programs ?(config = default_config)
       vstats;
       smt;
     }
-  in
-  (* Stitch gated groups back in, preserving the input program order:
-     one name -> group table, the first group of a name winning. *)
-  let by_name = Hashtbl.create (List.length progs) in
-  List.iter
-    (fun g ->
-      if not (Hashtbl.mem by_name g.group) then Hashtbl.add by_name g.group g)
-    (gated_groups @ regroup results);
-  let groups =
-    List.filter_map (fun (name, _) -> Hashtbl.find_opt by_name name) progs
   in
   { groups; lint = lint_results; stats }
 

@@ -163,7 +163,7 @@ type admission =
   | Quarantined of { retry_after_ms : float; crashes : int }
 
 (** Admission decision for a request with content digest [digest],
-    given the scheduler's current pending (queued + in-flight) count.
+    given the daemon's count of scheduled requests not yet answered.
     Pure bookkeeping — no IO; called from the daemon's main loop. *)
 let admit t ~pending ~digest =
   let quarantined =

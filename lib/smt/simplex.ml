@@ -300,18 +300,6 @@ let assert_atom t (e : Linexp.t) (op : op) (k : Q.t) =
       | [ (x, c) ] -> (Some (var_of_name t x), c)
       | _ -> (None, Q.one)
     in
-    let target, scale =
-      match x with
-      | Some x -> (x, unit_coeff)
-      | None -> (slack_for t e, Q.one)
-    in
-    (* target·scale ⋈ k, i.e. target ⋈ k/scale (flipping on negative). *)
-    let k = Q.div k scale in
-    let op =
-      if Q.lt scale Q.zero then
-        match op with Le -> Ge | Lt -> Gt | Ge -> Le | Gt -> Lt | Eq -> Eq
-      else op
-    in
     (* Integer tightening: every solver variable is integral (problem
        variables by sorting, slacks as integer combinations when the
        expression has integer coefficients), so strict bounds tighten
@@ -325,6 +313,26 @@ let assert_atom t (e : Linexp.t) (op : op) (k : Q.t) =
       match x with
       | Some _ -> true
       | None -> Smap.for_all (fun _ c -> Q.is_int c) e
+    in
+    let target, scale =
+      match x with
+      | Some x -> (x, unit_coeff)
+      | None when integral ->
+          (* An integral row is divided by the gcd of its coefficients,
+             so the integer tightening below rounds its constant:
+             2z - 2y <= -1 becomes z - y <= -1 rather than a rational
+             half-plane that branch-and-bound can chase forever. *)
+          let g = Smap.fold (fun _ c g -> Q.gcd (abs (Q.num c)) g) e 0 in
+          let q = Q.of_int g in
+          (slack_for t (Smap.map (fun c -> Q.div c q) e), q)
+      | None -> (slack_for t e, Q.one)
+    in
+    (* target·scale ⋈ k, i.e. target ⋈ k/scale (flipping on negative). *)
+    let k = Q.div k scale in
+    let op =
+      if Q.lt scale Q.zero then
+        match op with Le -> Ge | Lt -> Gt | Ge -> Le | Gt -> Lt | Eq -> Eq
+      else op
     in
     if integral then
       match op with
@@ -529,25 +537,38 @@ type int_result = IModel of int Smap.t | IUnsat | IResource_out
 
     Branches are explored by tightening a bound under {!push} and
     undoing it with {!pop}, so the caller's bounds are intact on
-    return (the basis may have moved, which is semantics-preserving). *)
+    return (the basis may have moved, which is semantics-preserving).
+    The search is depth-first under a horizon that doubles until the
+    search ends inside it: a plain dive can follow an unbounded floor
+    branch of the relaxation until the fuel runs out while the ceiling
+    side of an earlier branching holds a model. *)
 let check_int ?(fuel = 10_000) t : int_result =
   let fuel = Budget.Fuel.create ~knob:"simplex_fuel" fuel in
-  let rec go () =
+  (* At most [depth] more branchings below this node; [None] when the
+     horizon cut the search before it found a model. *)
+  let rec go depth =
     Budget.poll ();
     if not (Budget.Fuel.spend fuel) then begin
       (Stats.current ()).fuel_simplex <- (Stats.current ()).fuel_simplex + 1;
-      IResource_out
+      Some IResource_out
     end
     else begin
       match check_rational t with
-      | Unsat -> IUnsat
+      | Unsat -> Some IUnsat
       | Sat -> (
           let model = concrete_model t in
+          (* Branch on the fractional variable created first, not the
+             first in hash order: a goal's purification variables come
+             after the hypotheses' variables, and an unsatisfiable
+             hypothesis such as x = y + 1, x + y = -4 is refuted by one
+             branching on y but by none on the goal's side. *)
           let frac = ref None in
           Hashtbl.iter
             (fun name id ->
-              if !frac = None && not (Q.is_int model.(id)) then
-                frac := Some (name, id, model.(id)))
+              if not (Q.is_int model.(id)) then
+                match !frac with
+                | Some (_, id', _) when id' < id -> ()
+                | _ -> frac := Some (name, id, model.(id)))
             t.names;
           match !frac with
           | None ->
@@ -555,12 +576,13 @@ let check_int ?(fuel = 10_000) t : int_result =
               Hashtbl.iter
                 (fun name id -> m := Smap.add name (Q.floor model.(id)) !m)
                 t.names;
-              IModel !m
+              Some (IModel !m)
+          | Some _ when depth = 0 -> None
           | Some (_, id, q) -> (
               let branch bound =
                 push t;
                 bound ();
-                let r = go () in
+                let r = go (depth - 1) in
                 pop t;
                 r
               in
@@ -568,11 +590,17 @@ let check_int ?(fuel = 10_000) t : int_result =
                 branch (fun () ->
                     tighten_upper t id (Dq.of_q (Q.of_int (Q.floor q))))
               with
-              | IModel m -> IModel m
-              | IUnsat ->
-                  branch (fun () ->
-                      tighten_lower t id (Dq.of_q (Q.of_int (Q.ceil q))))
-              | IResource_out -> IResource_out))
+              | Some (IModel _ | IResource_out) as r -> r
+              | (Some IUnsat | None) as floor_side -> (
+                  match
+                    branch (fun () ->
+                        tighten_lower t id (Dq.of_q (Q.of_int (Q.ceil q))))
+                  with
+                  | Some IUnsat -> floor_side
+                  | r -> r)))
     end
   in
-  go ()
+  let rec deepen depth =
+    match go depth with Some r -> r | None -> deepen (2 * depth)
+  in
+  deepen 16

@@ -176,7 +176,7 @@ and encode enc (t : Term.t) : Sat.lit =
 (* Theory interaction *)
 
 (* Read once per process instead of once per theory conflict. *)
-let debug = lazy (Sys.getenv_opt "SMT_DEBUG" <> None)
+let debug = Sys.getenv_opt "SMT_DEBUG" <> None
 
 (** A persistent theory stack: one {!Theory.state} kept alive across
     lazy-loop rounds and minimization probes, with each asserted
@@ -349,7 +349,7 @@ let solve ~max_rounds ~minimize (assertions : Term.t list) : result =
                   let core =
                     if minimize then minimize_core ts lits else lits
                   in
-                  (if Lazy.force debug then
+                  (if debug then
                      Fmt.epr "core(%d): %a@." (List.length core)
                        (Fmt.list ~sep:Fmt.comma (fun ppf (a : Theory.atom) ->
                             Fmt.pf ppf "%s%a" (if a.Theory.pos then "" else "¬")

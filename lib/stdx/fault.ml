@@ -119,20 +119,20 @@ let configure ?(seed = 0) probs =
 
 let clear () = Atomic.set state None
 
-(* Environment activation happens once, at first injection-point hit
-   (so library users pay nothing before then). [configure]/[clear]
-   override it afterwards. *)
-let env = lazy (
+(* Environment activation happens once, at module initialisation,
+   before any worker domain exists: a lazy forced at the first
+   injection point would be raced by the workers, and a raced
+   [Lazy.force] raises in OCaml 5. [configure]/[clear] override it
+   afterwards. *)
+let () =
   match Sys.getenv_opt "DAENERYS_FAULTS" with
   | None | Some "" -> ()
   | Some spec -> (
       match configure_from_string spec with
       | Ok () -> ()
-      | Error m -> Fmt.epr "warning: ignoring DAENERYS_FAULTS: %s@." m))
+      | Error m -> Fmt.epr "warning: ignoring DAENERYS_FAULTS: %s@." m)
 
-let active () =
-  Lazy.force env;
-  Atomic.get state <> None
+let active () = Atomic.get state <> None
 
 (** Deterministic Bernoulli draw for [site]: true iff this draw fires. *)
 let draw (c : config) site =
@@ -149,7 +149,6 @@ let draw (c : config) site =
 (** Non-raising draw; used where the fault is a silent corruption (the
     verdict cache flips stored bytes) rather than an exception. *)
 let fires site =
-  Lazy.force env;
   match Atomic.get state with None -> false | Some c -> draw c site
 
 (** Raise {!Injected} if this draw fires — the exception-shaped sites

@@ -4,9 +4,9 @@
     [test_analysis] check exactly that).
 
     These are *lint*-negative — malformed before any semantic question
-    arises — unlike {!Programs.negative}, whose entries are well-formed
-    programs with wrong specifications that only the solver can
-    reject. *)
+    arises — unlike the negative entries of {!Programs}, which are
+    well-formed programs with wrong specifications that only the
+    solver can reject. *)
 
 open Stdx
 module A = Baselogic.Assertion

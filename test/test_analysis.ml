@@ -354,7 +354,7 @@ let test_suite_clean () =
     (List.map
        (fun (e : Suite.Programs.entry) ->
          (e.Suite.Programs.name, e.Suite.Programs.prog))
-       Suite.Programs.all
+       (Suite.Programs.all ())
     @ Suite.Examples.all)
 
 let test_ill_formed () =
@@ -389,7 +389,7 @@ let test_clean_never_spec_fails () =
                   Alcotest.failf "%s/%s: lint-clean yet spec-error: %s"
                     e.name p m)
           (V.verify e.prog))
-    Suite.Programs.all
+    (Suite.Programs.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Spec_error routing through the executor *)
@@ -446,7 +446,12 @@ let test_spec_error_routing () =
 let test_engine_gating () =
   let cfg = { E.default_config with E.lint = true } in
   let bad = Suite.Ill_formed.unknown_pred in
-  let bank = Suite.Programs.bank and swap = Suite.Programs.swap in
+  let entry name =
+    match Suite.Programs.find name with
+    | Some e -> e
+    | None -> Alcotest.failf "no suite entry %s" name
+  in
+  let bank = entry "bank" and swap = entry "swap" in
   (* Verified, gated, verified: the gated group is stitched back in
      between the two groups the solver produced. *)
   let progs =

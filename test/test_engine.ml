@@ -1,7 +1,8 @@
-(** Engine tests: parallel verification is observationally identical to
-    sequential verification (for positive AND negative suite entries),
-    and the verdict cache survives concurrent hammering from several
-    domains. *)
+(** Engine tests: the suite registry elaborates once under a
+    first-use race, parallel verification is observationally identical
+    to sequential verification (for positive AND negative suite
+    entries), and the verdict cache survives concurrent hammering from
+    several domains. *)
 
 module V = Verifier.Exec
 module Pr = Suite.Programs
@@ -17,9 +18,36 @@ let proc_results = Alcotest.(list (pair string outcome))
 let engine_results config =
   let report =
     E.verify_programs ~config
-      (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) Pr.all)
+      (List.map (fun (e : Pr.entry) -> (e.name, e.prog)) (Pr.all ()))
   in
   List.map (fun (g : E.group_result) -> (g.E.group, g.E.outcomes)) report.E.groups
+
+(* 0. First use of the suite registry from 4 domains at once: every
+   domain resolves the same entries, physically, so the sources were
+   elaborated exactly once. This runs first, while the registry of the
+   test process is still unbuilt. *)
+let test_registry_first_use () =
+  let names = [ "swap"; "count"; "ghost_counter"; "treiber"; "lock_noinv" ] in
+  let ready = Atomic.make 0 in
+  let resolve () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    List.map Pr.find names
+  in
+  let spawned = List.init 3 (fun _ -> Domain.spawn resolve) in
+  let mine = resolve () in
+  List.iter
+    (fun theirs ->
+      List.iter2
+        (fun name (a, b) ->
+          match (a, b) with
+          | Some (a : Pr.entry), Some b ->
+              Alcotest.(check bool) (name ^ ": one shared entry") true (a == b)
+          | _ -> Alcotest.failf "%s: unresolved" name)
+        names (List.combine mine theirs))
+    (List.map Domain.join spawned)
 
 (* 1. Per-entry: 4 worker domains produce exactly the sequential
    verifier's outcomes, including failure messages of the negative
@@ -32,7 +60,7 @@ let test_parallel_matches_sequential () =
     (fun (e : Pr.entry) ->
       let seq = V.verify e.prog in
       Alcotest.check proc_results e.name seq (List.assoc e.name par))
-    Pr.all
+    (Pr.all ())
 
 (* 2. The engine report accounts every job and obligations route
    through the incremental sessions. *)
@@ -42,7 +70,7 @@ let test_engine_stats () =
       (fun r ->
         List.map
           (fun (e : Pr.entry) -> (Printf.sprintf "%s#%d" e.name r, e.prog))
-          Pr.positive)
+          (Pr.positive ()))
       [ 0; 1 ]
   in
   let njobs =
@@ -129,6 +157,8 @@ let () =
     [
       ( "engine",
         [
+          Alcotest.test_case "registry-first-use" `Quick
+            test_registry_first_use;
           Alcotest.test_case "parallel-matches-sequential" `Quick
             test_parallel_matches_sequential;
           Alcotest.test_case "engine-stats" `Quick test_engine_stats;

@@ -203,7 +203,7 @@ let test_engine_timeout_isolates_siblings () =
   let siblings =
     suite_progs
       (List.filteri (fun i (e : Pr.entry) -> i < 3 && not e.Pr.expect_fail)
-         Pr.positive)
+         (Pr.positive ()))
   in
   let groups, stats =
     engine_outcomes
@@ -248,7 +248,7 @@ let answer cache (e : Pr.entry) =
       v
 
 let test_cache_corruption_is_a_miss () =
-  let e = List.hd Pr.positive in
+  let e = List.hd (Pr.positive ()) in
   let key = "entry\x00" ^ e.Pr.name in
   let clean = V.verify e.Pr.prog in
   let check_corruption mode =
@@ -279,7 +279,7 @@ let clean_reference entries =
     (suite_progs entries)
 
 let test_session_faults_fall_back () =
-  let entries = List.filteri (fun i _ -> i < 4) Pr.positive in
+  let entries = List.filteri (fun i _ -> i < 4) (Pr.positive ()) in
   let clean, _ = clean_reference entries in
   let faulted, stats =
     with_faults ~seed:42 [ (F.Session, 1.0) ] (fun () ->
@@ -302,7 +302,7 @@ let test_cache_faults_keep_verdicts () =
   (* Every store is corrupted by the injected fault; every repeat
      lookup must detect it, re-verify, and agree with the clean
      verdicts. *)
-  let entries = List.filteri (fun i _ -> i < 4) Pr.all in
+  let entries = List.filteri (fun i _ -> i < 4) (Pr.all ()) in
   let clean = List.map (fun (e : Pr.entry) -> V.verify e.Pr.prog) entries in
   let cache = E.Vc_cache.create () in
   with_faults ~seed:7 [ (F.Cache, 1.0) ] (fun () ->
@@ -326,11 +326,11 @@ let test_pool_fault_crashes_not_fails () =
     with_faults ~seed:3 [ (F.Pool, 1.0) ] (fun () ->
         engine_outcomes
           { E.default_config with E.domains = 4 }
-          (suite_progs Pr.positive))
+          (suite_progs (Pr.positive ())))
   in
   Alcotest.(check int)
     "pool survived: every group reported"
-    (List.length Pr.positive) (List.length groups);
+    (List.length (Pr.positive ())) (List.length groups);
   List.iter
     (fun (name, outs) ->
       List.iter
@@ -349,7 +349,7 @@ let test_pool_fault_crashes_not_fails () =
   Alcotest.(check int) "crashes accounted" stats.E.jobs stats.E.crashes
 
 let test_deterministic_replay () =
-  let entries = List.filteri (fun i _ -> i < 5) Pr.all in
+  let entries = List.filteri (fun i _ -> i < 5) (Pr.all ()) in
   let run () =
     with_faults ~seed:1234 [ (F.Solver, 0.4); (F.Pool, 0.2) ] (fun () ->
         fst
@@ -369,8 +369,8 @@ let test_deterministic_replay () =
 (* Chaos: randomized fault schedules never flip a verdict *)
 
 let chaos_entries =
-  let positives = List.filteri (fun i _ -> i < 3) Pr.positive in
-  let negatives = List.filter (fun (e : Pr.entry) -> e.Pr.expect_fail) Pr.all in
+  let positives = List.filteri (fun i _ -> i < 3) (Pr.positive ()) in
+  let negatives = List.filter (fun (e : Pr.entry) -> e.Pr.expect_fail) (Pr.all ()) in
   positives @ List.filteri (fun i _ -> i < 2) negatives
 
 let chaos_clean = lazy (fst (clean_reference chaos_entries))

@@ -225,6 +225,14 @@ let differential =
              not (brute_force_sat t)
          | Solver.Unknown | Solver.Resource_out _ -> true))
 
+let check_invalid ?hyps g =
+  match Solver.entails ?hyps g with
+  | Solver.Invalid _ -> ()
+  | Solver.Valid -> Alcotest.fail "answered Valid"
+  | Solver.Undecided -> Alcotest.fail "answered Undecided"
+  | Solver.Gave_up r ->
+      Alcotest.failf "gave up: %s" (Stdx.Budget.reason_to_string r)
+
 let entails_cases =
   [
     Alcotest.test_case "entails-valid" `Quick (fun () ->
@@ -236,6 +244,34 @@ let entails_cases =
     Alcotest.test_case "entails-invalid" `Quick (fun () ->
         Alcotest.(check bool) "x>0 invalid" false
           (Solver.entails_bool (gt x (int 0))));
+    (* Regressions: two invalid goals whose negations sent depth-first
+       branch-and-bound down an unbounded branch of the rational
+       relaxation until its fuel ran out (Gave_up). The first holds the
+       integral row 2z - 2y <= -1 (refuted by z=0, y=1); in the second
+       the dive follows y = f(y) = -1/2, -3/2, ... *)
+    Alcotest.test_case "entails-gcd-row" `Quick (fun () ->
+        check_invalid
+          (or_ [ not_ (le (add y y) (add (int 2) z)); eq (add z z) (add y y) ]));
+    Alcotest.test_case "entails-unbounded-branch" `Quick (fun () ->
+        let f t = app "f" [ t ] in
+        check_invalid
+          ~hyps:
+            [
+              and_ [ not_ (le (add x x) (f y)); le (add (int (-1)) y) (f x) ];
+              eq (f (int (-1))) (int (-1));
+            ]
+          (or_ [ eq z (add y x); eq (int 3) (f (int 2)) ]));
+    (* Regression: the hypotheses have no integer solution (2y = -5),
+       which only a branching on y or x refutes; branching on the
+       goal's variables z and f(3) first never ended (Gave_up). *)
+    Alcotest.test_case "entails-branch-on-hyps" `Quick (fun () ->
+        let f t = app "f" [ t ] in
+        Alcotest.(check bool)
+          "x = y + 1, x + y = -4 entails anything" true
+          (Solver.entails
+             ~hyps:[ eq x (add y (int 1)); eq (int (-4)) (add x y) ]
+             (or_ [ eq (f (int 2)) (add y y); not_ (eq (f (int 3)) (add y z)) ])
+          = Solver.Valid));
   ]
 
 
