@@ -328,7 +328,6 @@ let wait t =
 
 type stats = {
   workers : int;
-  pending : int;  (** accepted but not yet completed *)
   submitted : int;
   rejected : int;
   completed : int;
@@ -342,7 +341,6 @@ let stats t =
   Mutex.protect t.lock (fun () ->
       {
         workers = Array.length t.slots;
-        pending = t.live;
         submitted = t.submitted;
         rejected = t.rejected;
         completed = t.completed;
